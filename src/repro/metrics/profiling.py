@@ -50,7 +50,6 @@ HOTPATH_CATEGORIES: tuple[tuple[str, str, Optional[frozenset]], ...] = (
     ("payload_copy", "net/codec.py", _COPY_FUNCTIONS),
     ("codec_bytes", "net/codec.py", None),
     ("transport", "net/transport.py", None),
-    ("message", "net/message.py", None),
     ("rpc", "net/rpc.py", None),
     ("chord_routing", "chord/node.py", _ROUTING_FUNCTIONS),
     ("chord_routing", "chord/finger.py", None),

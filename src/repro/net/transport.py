@@ -29,9 +29,7 @@ from .message import DeliveryReceipt, Message, TrafficStats
 #: * ``"codec"`` — full encode/decode round-trip through the wire codec;
 #:   the strictest setting, additionally rejecting payloads a real wire
 #:   could not carry.  Used by codec-conformance tests.
-#: * ``"reference"`` — the historical by-reference delivery (no copy);
-#:   an escape hatch for benchmarks that measure the substrate itself.
-WIRE_FIDELITIES = ("copy", "codec", "reference")
+WIRE_FIDELITIES = ("copy", "codec")
 
 
 class Endpoint(Protocol):
@@ -254,7 +252,7 @@ class Network:
         # independent payloads, exactly as two datagrams would.
         if self.wire_fidelity == "copy":
             message = copy_message(message)
-        elif self.wire_fidelity == "codec":
+        else:
             message = decode_message(encode_message(message))
         self.stats.record_delivered(message)
         endpoint.deliver(message)

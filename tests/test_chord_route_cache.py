@@ -7,6 +7,9 @@ crash, graceful leave, join — must invalidate affected entries, and a
 uncached protocol.
 """
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.chord import ChordConfig, ChordRing, NodeRef, RouteCache
@@ -384,3 +387,183 @@ def test_unaffected_cached_routes_survive_a_partition_elsewhere():
     assert cached is not None and cached[1] == owner.ref, (
         "a partition not involving the cached owner must not purge the route"
     )
+
+
+# ------------------------------------------------------------ differential --
+
+
+class LinearScanRouteCache:
+    """Reference model: the original scan-based route cache, kept verbatim.
+
+    Every lookup walks all entries in LRU order, dropping the expired ones
+    and answering with the first fresh interval containing the target.  The
+    indexed :class:`RouteCache` must agree with it on every answer, every
+    counter and the LRU order of its entries.
+    """
+
+    def __init__(self, capacity: int = 128, ttl: float = 1.0) -> None:
+        self.capacity = capacity
+        self.ttl = ttl
+        self._entries: OrderedDict = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
+
+    def lookup(self, target_id, now):
+        ttl = self.ttl
+        expired = None
+        hit = None
+        for interval, entry in self._entries.items():
+            if now - entry[1] > ttl:
+                if expired is None:
+                    expired = [interval]
+                else:
+                    expired.append(interval)
+            elif hit is None:
+                start, end = interval
+                if (start < target_id <= end) if start < end \
+                        else (target_id > start or target_id <= end):
+                    hit = (interval, entry[0])
+        if expired is not None:
+            for interval in expired:
+                del self._entries[interval]
+            self.invalidations += len(expired)
+        if hit is not None:
+            self._entries.move_to_end(hit[0])
+            self.hits += 1
+            return hit
+        self.misses += 1
+        return None
+
+    def store(self, interval, owner, now):
+        if interval[0] == interval[1]:
+            return
+        self._entries[interval] = (owner, now)
+        self._entries.move_to_end(interval)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.invalidations += 1
+
+    def invalidate_node(self, node):
+        stale = [
+            interval for interval, (owner, _t) in self._entries.items() if owner == node
+        ]
+        for interval in stale:
+            del self._entries[interval]
+        self.invalidations += len(stale)
+        return len(stale)
+
+    def clear(self):
+        self.invalidations += len(self._entries)
+        self._entries.clear()
+
+    def stats(self):
+        total = self.hits + self.misses
+        return {
+            "entries": len(self._entries),
+            "hits": self.hits,
+            "misses": self.misses,
+            "invalidations": self.invalidations,
+            "hit_fraction": (self.hits / total) if total else 0.0,
+        }
+
+
+def _ring_intervals(rng: random.Random, bits: int, peers: int) -> list:
+    """The ``(predecessor, node]`` intervals of a random ring: disjoint, one wraps."""
+    ids: set = set()
+    while len(ids) < peers:
+        ids.add(rng.getrandbits(bits))
+    ids = sorted(ids)
+    return [(ids[i - 1], ids[i]) for i in range(len(ids))]
+
+
+def _drive(seed: int, *, capacity: int, bits: int, overlap_rate: float, steps: int = 600):
+    """Run one seeded operation stream against both caches, comparing each step.
+
+    Returns the indexed cache's overlap flag after every step.
+    """
+    rng = random.Random(seed)
+    ttl = 1.0
+    model = LinearScanRouteCache(capacity=capacity, ttl=ttl)
+    cache = RouteCache(capacity=capacity, ttl=ttl)
+    owners = [_ref(i, f"n{i}") for i in range(6)]
+    ring = _ring_intervals(rng, bits, min(40, 1 << (bits - 2)))
+    top = (1 << bits) - 1
+    now = 0.0
+    flags = []
+    for _ in range(steps):
+        now += rng.choice((0.0, 0.0, 0.05, 0.2, 0.45))
+        op = rng.random()
+        if op < 0.4:
+            roll = rng.random()
+            if roll < overlap_rate:
+                interval = (rng.randint(0, top), rng.randint(0, top))  # any, may wrap
+            elif roll < overlap_rate + 0.02:
+                point = rng.randint(0, top)
+                interval = (point, point)  # degenerate: refused by both
+            else:
+                interval = rng.choice(ring)
+            owner = rng.choice(owners)
+            cache.store(interval, owner, now)
+            model.store(interval, owner, now)
+        elif op < 0.9:
+            target = rng.randint(0, top)
+            assert cache.lookup(target, now) == model.lookup(target, now)
+        elif op < 0.98:
+            owner = rng.choice(owners)
+            assert cache.invalidate_node(owner) == model.invalidate_node(owner)
+        else:
+            cache.clear()
+            model.clear()
+        assert cache.stats() == model.stats()
+        assert list(cache._entries.items()) == list(model._entries.items())
+        flags.append(cache._overlapping)
+    return flags
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 128])
+@pytest.mark.parametrize("overlap_rate", [0.0, 0.05, 0.5])
+def test_indexed_cache_matches_linear_scan_model(capacity, overlap_rate):
+    for seed in range(12):
+        _drive(seed, capacity=capacity, bits=8, overlap_rate=overlap_rate)
+
+
+def test_indexed_cache_matches_model_on_160_bit_ring():
+    for seed in range(4):
+        flags = _drive(seed, capacity=128, bits=160, overlap_rate=0.0, steps=1500)
+        assert not any(flags)  # a stable ring's intervals never overlap
+
+
+def test_overlap_state_is_entered_and_left():
+    flags = _drive(7, capacity=3, bits=8, overlap_rate=0.3)
+    entered = flags.index(True)
+    assert False in flags[entered:], "the cache must return to indexed lookups"
+
+
+def test_overlapping_store_falls_back_to_lru_order_answer():
+    a, b = _ref(100, "a"), _ref(200, "b")
+    cache = RouteCache(capacity=8, ttl=10.0)
+    cache.store((0, 100), a, now=0.0)
+    cache.store((50, 150), b, now=0.0)  # overlaps (0, 100]
+    assert cache._overlapping
+    # Both contain 75: the least recently used one answers.
+    assert cache.lookup(75, now=0.0) == ((0, 100), a)
+    assert cache.lookup(75, now=0.0) == ((50, 150), b)
+    cache.clear()
+    assert not cache._overlapping
+    cache.store((0, 100), a, now=0.0)
+    assert cache.lookup(75, now=0.0) == ((0, 100), a)
+    # Expiry that empties the cache also re-enables the index.
+    cache.store((50, 150), b, now=0.0)
+    assert cache._overlapping
+    assert cache.lookup(75, now=11.0) is None
+    assert len(cache) == 0 and not cache._overlapping
+
+
+def test_capacity_one_cache_never_overlaps():
+    a, b = _ref(100, "a"), _ref(200, "b")
+    cache = RouteCache(capacity=1, ttl=10.0)
+    cache.store((0, 100), a, now=0.0)
+    cache.store((50, 150), b, now=0.0)  # evicts (0, 100] before indexing
+    assert not cache._overlapping
+    assert cache.lookup(75, now=0.0) == ((50, 150), b)

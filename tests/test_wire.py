@@ -252,14 +252,6 @@ def test_perturbation_duplicate_deliveries_are_independent():
     assert payload == {"ops": ["keep"]}
 
 
-def test_reference_fidelity_preserves_aliasing_escape_hatch():
-    sim = Simulator(seed=1)
-    network = Network(sim, latency=ConstantLatency(0.01), wire_fidelity="reference")
-    payload = {"ops": ["keep"]}
-    (delivered,) = _send_payload(network, sim, payload)
-    assert delivered.payload is payload  # the historical by-reference path
-
-
 def test_codec_fidelity_round_trips_payload_through_the_wire_format():
     sim = Simulator(seed=1)
     network = Network(sim, latency=ConstantLatency(0.01), wire_fidelity="codec")
@@ -275,7 +267,9 @@ def test_invalid_wire_fidelity_rejected():
     sim = Simulator(seed=1)
     with pytest.raises(ConfigurationError):
         Network(sim, wire_fidelity="telepathy")
-    assert WIRE_FIDELITIES == ("copy", "codec", "reference")
+    with pytest.raises(ConfigurationError):
+        Network(sim, wire_fidelity="reference")
+    assert WIRE_FIDELITIES == ("copy", "codec")
 
 
 # ---------------------------------------------------------------------------
